@@ -304,10 +304,34 @@ mod tests {
     use crate::dispatch::RoutingMode;
     use ddb_logic::parse::{parse_formula, parse_program};
 
-    fn counters_after(f: impl FnOnce()) -> ddb_obs::CounterSnapshot {
-        let before = ddb_obs::snapshot();
+    /// Route counters this thread bumped during `f`. The registry is
+    /// process-global and other unit tests route concurrently, so a
+    /// global snapshot diff would count their bumps too.
+    struct Spent([(&'static str, u64); 5]);
+
+    impl Spent {
+        fn get(&self, name: &str) -> u64 {
+            let found = self.0.iter().find(|(n, _)| *n == name);
+            found.expect("counter is tracked").1
+        }
+    }
+
+    fn counters_after(f: impl FnOnce()) -> Spent {
+        const NAMES: [&str; 5] = [
+            "route.slice",
+            "route.slice.dropped_rules",
+            "route.slice.blocked",
+            "route.split",
+            "route.generic",
+        ];
+        let before = NAMES.map(ddb_obs::thread_counter_total);
         f();
-        ddb_obs::snapshot().diff(&before)
+        Spent(std::array::from_fn(|i| {
+            (
+                NAMES[i],
+                ddb_obs::thread_counter_total(NAMES[i]) - before[i],
+            )
+        }))
     }
 
     #[test]

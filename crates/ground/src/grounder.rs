@@ -207,145 +207,43 @@ pub fn ground_full(prog: &DatalogProgram, limit: usize) -> Result<Database, Grou
 /// assert!(db.symbols().lookup("path(b,a)").is_none()); // not derivable
 /// ```
 pub fn ground_reduced(prog: &DatalogProgram, limit: usize) -> Result<Database, GroundingError> {
-    check_program(prog)?;
-    // Possibly-true ground atoms, keyed by predicate name.
-    let mut possible: BTreeMap<String, BTreeSet<Vec<String>>> = BTreeMap::new();
-    let mut emitted: BTreeSet<GroundRule> = BTreeSet::new();
+    ground_with(prog, None, limit)
+}
 
-    // Backtracking join of a rule's positive body against `possible`.
-    fn join(
-        body: &[PredAtom],
-        idx: usize,
-        binding: &mut Binding,
-        possible: &BTreeMap<String, BTreeSet<Vec<String>>>,
-        visit: &mut dyn FnMut(&Binding) -> Result<(), GroundingError>,
-    ) -> Result<(), GroundingError> {
-        // One checkpoint per join node: the semi-naive closure is the
-        // grounder's hot loop, so deadlines and cancel flags trip here.
-        budget::checkpoint()?;
-        if idx == body.len() {
-            return visit(binding);
-        }
-        let atom = &body[idx];
-        let Some(tuples) = possible.get(&atom.pred) else {
-            return Ok(());
-        };
-        'tuples: for tuple in tuples {
-            if tuple.len() != atom.args.len() {
-                continue;
-            }
-            let mut added: Vec<String> = Vec::new();
-            for (arg, value) in atom.args.iter().zip(tuple) {
-                match arg {
-                    Term::Const(c) => {
-                        if c != value {
-                            for v in added.drain(..) {
-                                binding.remove(&v);
-                            }
-                            continue 'tuples;
-                        }
-                    }
-                    Term::Var(v) => match binding.get(v) {
-                        Some(bound) if bound != value => {
-                            for v in added.drain(..) {
-                                binding.remove(&v);
-                            }
-                            continue 'tuples;
-                        }
-                        Some(_) => {}
-                        None => {
-                            binding.insert(v.clone(), value.clone());
-                            added.push(v.clone());
-                        }
-                    },
-                }
-            }
-            join(body, idx + 1, binding, possible, visit)?;
-            for v in added {
-                binding.remove(&v);
-            }
-        }
-        Ok(())
-    }
-
-    loop {
-        let mut grew = false;
-        for rule in &prog.rules {
-            budget::checkpoint()?;
-            let mut new_heads: Vec<(String, Vec<String>)> = Vec::new();
-            let mut new_rules: Vec<GroundRule> = Vec::new();
-            {
-                let mut binding = Binding::new();
-                let rule_ref = rule;
-                let possible_ref = &possible;
-                let emitted_ref = &emitted;
-                join(
-                    &rule.body_pos,
-                    0,
-                    &mut binding,
-                    possible_ref,
-                    &mut |b: &Binding| {
-                        if !disequalities_hold(rule_ref, b) {
-                            return Ok(());
-                        }
-                        let ground = instantiate_rule(rule_ref, b);
-                        if !emitted_ref.contains(&ground) && !new_rules.contains(&ground) {
-                            for h in rule_ref.head.iter() {
-                                let inst = instantiate_atom(h, b);
-                                let tuple: Vec<String> = inst
-                                    .args
-                                    .iter()
-                                    .map(|t| match t {
-                                        Term::Const(c) => c.clone(),
-                                        Term::Var(_) => unreachable!("instantiated"),
-                                    })
-                                    .collect();
-                                new_heads.push((inst.pred, tuple));
-                            }
-                            new_rules.push(ground);
-                        }
-                        Ok(())
-                    },
-                )?;
-            }
-            for r in new_rules {
-                emitted.insert(r);
-                grew = true;
-                if emitted.len() > limit {
-                    return Err(GroundingError::TooLarge { limit });
-                }
-            }
-            for (pred, tuple) in new_heads {
-                possible.entry(pred).or_default().insert(tuple);
-            }
-        }
-        if !grew {
-            break;
-        }
-    }
-
-    // Simplify: drop negated literals whose atom is impossible; a negated
-    // literal whose atom IS possible stays.
-    let is_possible = |name: &String| -> bool {
-        // Re-derive (pred, tuple) from the rendered name.
-        match name.find('(') {
-            None => possible.get(name).is_some_and(|s| s.contains(&Vec::new())),
-            Some(p) => {
-                let pred = &name[..p];
-                let inner = &name[p + 1..name.len() - 1];
-                let tuple: Vec<String> = inner.split(',').map(str::to_owned).collect();
-                possible.get(pred).is_some_and(|s| s.contains(&tuple))
-            }
-        }
-    };
-    let simplified: BTreeSet<GroundRule> = emitted
-        .into_iter()
-        .map(|mut r| {
-            r.body_neg.retain(|g| is_possible(g));
-            r
-        })
-        .collect();
-    Ok(build_database(simplified))
+/// **Goal-directed (magic) grounding**: like [`ground_reduced`], but only
+/// rules whose heads are *demanded* by the query are instantiated.
+/// Demand is a static per-predicate first-argument fixpoint: seeded by
+/// the query atom, propagated from activated heads through positive
+/// bodies, negative bodies and sibling heads — the grounding-side mirror
+/// of the planner's magic restriction.
+///
+/// The result is the demand-relevant fragment of the reduced grounding:
+/// query answers agree with [`ground_reduced`] exactly when the planner
+/// admits the magic route for the semantics at hand (positive programs
+/// under minimal-model-determined queries unconditionally; otherwise
+/// only when the fragment is split-closed). The payoff is largest when
+/// the first argument is invariant through the recursion (a component
+/// or chain identifier): only the demanded component is instantiated.
+/// A body atom whose first argument is some *other* variable widens the
+/// demand to `open` for that predicate — still sound, just no savings.
+/// ```
+/// use ddb_ground::{ground_magic, parse::parse_datalog};
+/// let prog = parse_datalog(
+///     "edge(c0,a,b). edge(c1,a,b). path(C,X,Y) :- edge(C,X,Y). \
+///      path(C,X,Y) :- edge(C,X,Z), path(C,Z,Y).",
+/// )
+/// .unwrap();
+/// let query = parse_datalog("path(c0,a,b).").unwrap().rules[0].head[0].clone();
+/// let db = ground_magic(&prog, &query, 1000).unwrap();
+/// assert!(db.symbols().lookup("path(c0,a,b)").is_some());
+/// assert!(db.symbols().lookup("path(c1,a,b)").is_none()); // undemanded component
+/// ```
+pub fn ground_magic(
+    prog: &DatalogProgram,
+    query: &PredAtom,
+    limit: usize,
+) -> Result<Database, GroundingError> {
+    ground_with(prog, Some(query), limit)
 }
 
 /// Per-predicate demand on first arguments, the abstraction the
@@ -361,6 +259,13 @@ struct DemandSet {
 }
 
 impl DemandSet {
+    fn open() -> Self {
+        DemandSet {
+            open: true,
+            firsts: BTreeSet::new(),
+        }
+    }
+
     fn absorb(&mut self, other: &DemandSet) -> bool {
         let mut changed = false;
         if other.open && !self.open {
@@ -378,19 +283,12 @@ impl DemandSet {
 /// argument: either anything (`None`) or one of a finite constant set.
 fn atom_demand(atom: &PredAtom, head_var: Option<&str>, head_vals: &DemandSet) -> DemandSet {
     match atom.args.first() {
-        None => DemandSet {
-            open: true,
-            firsts: BTreeSet::new(),
-        },
         Some(Term::Const(c)) => DemandSet {
             open: false,
             firsts: BTreeSet::from([c.clone()]),
         },
         Some(Term::Var(v)) if head_var == Some(v.as_str()) => head_vals.clone(),
-        Some(Term::Var(_)) => DemandSet {
-            open: true,
-            firsts: BTreeSet::new(),
-        },
+        None | Some(Term::Var(_)) => DemandSet::open(),
     }
 }
 
@@ -428,6 +326,16 @@ fn head_activation(head: &PredAtom, demand: &BTreeMap<String, DemandSet>) -> Act
     }
 }
 
+/// Whether a constraint mentions a demanded predicate. Constraints
+/// restrict models globally, so such a constraint is grounded wherever
+/// its body can fire.
+fn constraint_touches(rule: &DatalogRule, demand: &BTreeMap<String, DemandSet>) -> bool {
+    rule.body_pos
+        .iter()
+        .chain(&rule.body_neg)
+        .any(|a| demand.contains_key(&a.pred))
+}
+
 /// The static demand fixpoint: which predicates (and which first
 /// arguments) can reach the query top-down. Demand flows from an
 /// activated head through the positive body, the negative body and the
@@ -440,31 +348,20 @@ fn demand_fixpoint(prog: &DatalogProgram, query: &PredAtom) -> BTreeMap<String, 
             open: false,
             firsts: BTreeSet::from([c.clone()]),
         },
-        _ => DemandSet {
-            open: true,
-            firsts: BTreeSet::new(),
-        },
+        _ => DemandSet::open(),
     };
     demand.entry(query.pred.clone()).or_default().absorb(&seed);
     loop {
         let mut changed = false;
         for rule in &prog.rules {
-            // Constraints restrict models globally; their bodies must be
-            // grounded wherever they can fire, so demand them openly as
-            // soon as any of their predicates is in the demanded slice.
+            // A touched constraint's body is demanded openly.
             if rule.head.is_empty() {
-                let touches = rule
-                    .body_pos
-                    .iter()
-                    .chain(&rule.body_neg)
-                    .any(|a| demand.contains_key(&a.pred));
-                if touches {
+                if constraint_touches(rule, &demand) {
                     for a in rule.body_pos.iter().chain(&rule.body_neg) {
-                        let open = DemandSet {
-                            open: true,
-                            firsts: BTreeSet::new(),
-                        };
-                        changed |= demand.entry(a.pred.clone()).or_default().absorb(&open);
+                        changed |= demand
+                            .entry(a.pred.clone())
+                            .or_default()
+                            .absorb(&DemandSet::open());
                     }
                 }
                 continue;
@@ -472,13 +369,7 @@ fn demand_fixpoint(prog: &DatalogProgram, query: &PredAtom) -> BTreeMap<String, 
             for (hi, head) in rule.head.iter().enumerate() {
                 let (head_var, head_vals) = match head_activation(head, &demand) {
                     Activation::Inactive => continue,
-                    Activation::Unrestricted => (
-                        None,
-                        DemandSet {
-                            open: true,
-                            firsts: BTreeSet::new(),
-                        },
-                    ),
+                    Activation::Unrestricted => (None, DemandSet::open()),
                     Activation::Restricted(v, firsts) => (
                         Some(v),
                         DemandSet {
@@ -507,197 +398,185 @@ fn demand_fixpoint(prog: &DatalogProgram, query: &PredAtom) -> BTreeMap<String, 
     demand
 }
 
-/// First-argument index key of a ground tuple (empty string for arity 0).
-fn first_key(tuple: &[String]) -> String {
-    tuple.first().cloned().unwrap_or_default()
+/// Per-rule activation under the (static) demand: skip, run freely, or
+/// run with one variable confined to a constant set.
+fn rule_activation(rule: &DatalogRule, demand: &BTreeMap<String, DemandSet>) -> Activation {
+    if rule.head.is_empty() {
+        // The body join itself confines a touched constraint to the
+        // demanded closure.
+        return if constraint_touches(rule, demand) {
+            Activation::Unrestricted
+        } else {
+            Activation::Inactive
+        };
+    }
+    let mut restricted: Option<(String, BTreeSet<String>)> = None;
+    let mut unrestricted = false;
+    for head in &rule.head {
+        match head_activation(head, demand) {
+            Activation::Inactive => {}
+            Activation::Unrestricted => unrestricted = true,
+            Activation::Restricted(v, firsts) => match &mut restricted {
+                None => restricted = Some((v, firsts)),
+                Some((rv, rf)) if *rv == v => rf.extend(firsts),
+                // Two heads confine different variables: the union of the
+                // two demands is not expressible as one restriction, so
+                // run the rule freely.
+                Some(_) => unrestricted = true,
+            },
+        }
+    }
+    if unrestricted {
+        return Activation::Unrestricted;
+    }
+    match restricted {
+        Some((v, firsts)) => Activation::Restricted(v, firsts),
+        None => Activation::Inactive,
+    }
 }
 
-/// **Goal-directed (magic) grounding**: like [`ground_reduced`], but only
-/// rules whose heads are *demanded* by the query are instantiated, and
-/// joins run against a per-predicate first-argument index of the
-/// possibly-true closure. Demand is a static per-predicate
-/// first-argument fixpoint: seeded by the query atom, propagated from
-/// activated heads through positive bodies, negative bodies and sibling
-/// heads — the grounding-side mirror of the planner's magic restriction.
-///
-/// The result is the demand-relevant fragment of the reduced grounding:
-/// query answers agree with [`ground_reduced`] exactly when the planner
-/// admits the magic route for the semantics at hand (positive programs
-/// under minimal-model-determined queries unconditionally; otherwise
-/// only when the fragment is split-closed). The payoff is largest when
-/// the first argument is invariant through the recursion (a component
-/// or chain identifier): only the demanded component is instantiated.
-/// A body atom whose first argument is some *other* variable widens the
-/// demand to `open` for that predicate — still sound, just no savings.
-/// ```
-/// use ddb_ground::{ground_magic, parse::parse_datalog};
-/// let prog = parse_datalog(
-///     "edge(c0,a,b). edge(c1,a,b). path(C,X,Y) :- edge(C,X,Y). \
-///      path(C,X,Y) :- edge(C,X,Z), path(C,Z,Y).",
-/// )
-/// .unwrap();
-/// let query = parse_datalog("path(c0,a,b).").unwrap().rules[0].head[0].clone();
-/// let db = ground_magic(&prog, &query, 1000).unwrap();
-/// assert!(db.symbols().lookup("path(c0,a,b)").is_some());
-/// assert!(db.symbols().lookup("path(c1,a,b)").is_none()); // undemanded component
-/// ```
-pub fn ground_magic(
+/// The possibly-true closure: ground tuples per predicate, indexed by
+/// first argument (zero-arity atoms under `""`). The `BTreeSet`s keep
+/// join order deterministic.
+type Index = BTreeMap<String, BTreeMap<String, BTreeSet<Vec<String>>>>;
+
+/// A binding may only send the restricted variable into its constant set.
+type Restriction<'a> = Option<(&'a str, &'a BTreeSet<String>)>;
+
+fn first_key(tuple: &[String]) -> &str {
+    tuple.first().map_or("", String::as_str)
+}
+
+fn index_insert(index: &mut Index, pred: &str, tuple: Vec<String>) -> bool {
+    index
+        .entry(pred.to_owned())
+        .or_default()
+        .entry(first_key(&tuple).to_owned())
+        .or_default()
+        .insert(tuple)
+}
+
+/// Whether a ground atom lies in the closure.
+fn index_holds(index: &Index, atom: &PredAtom) -> bool {
+    let tuple: Vec<String> = atom.args.iter().map(Term::to_string).collect();
+    index
+        .get(&atom.pred)
+        .and_then(|by_first| by_first.get(first_key(&tuple)))
+        .is_some_and(|bucket| bucket.contains(&tuple))
+}
+
+fn ground_tuple(atom: &PredAtom, binding: &Binding) -> Vec<String> {
+    instantiate_atom(atom, binding)
+        .args
+        .iter()
+        .map(Term::to_string)
+        .collect()
+}
+
+/// Extends `binding` so that `atom` matches `tuple`, recording the newly
+/// bound variables in `added`; false on a mismatch.
+fn unify(
+    atom: &PredAtom,
+    tuple: &[String],
+    binding: &mut Binding,
+    restriction: Restriction<'_>,
+    added: &mut Vec<String>,
+) -> bool {
+    if tuple.len() != atom.args.len() {
+        return false;
+    }
+    for (arg, value) in atom.args.iter().zip(tuple) {
+        match arg {
+            Term::Const(c) if c != value => return false,
+            Term::Const(_) => {}
+            Term::Var(v) => match binding.get(v) {
+                Some(bound) if bound != value => return false,
+                Some(_) => {}
+                None => {
+                    if restriction.is_some_and(|(rv, firsts)| rv == v && !firsts.contains(value)) {
+                        return false;
+                    }
+                    binding.insert(v.clone(), value.clone());
+                    added.push(v.clone());
+                }
+            },
+        }
+    }
+    true
+}
+
+/// Backtracking join of a positive body against the indexed closure.
+/// Candidates for an atom whose first argument is already fixed (a
+/// constant, a bound variable, or the restricted variable) come from
+/// its index bucket(s) instead of the whole relation.
+fn join(
+    body: &[PredAtom],
+    binding: &mut Binding,
+    index: &Index,
+    restriction: Restriction<'_>,
+    visit: &mut dyn FnMut(&Binding) -> Result<(), GroundingError>,
+) -> Result<(), GroundingError> {
+    // One checkpoint per join node: the closure is the grounder's hot
+    // loop, so deadlines and cancel flags trip here.
+    budget::checkpoint()?;
+    let Some((atom, rest)) = body.split_first() else {
+        return visit(binding);
+    };
+    let Some(by_first) = index.get(&atom.pred) else {
+        return Ok(());
+    };
+    let buckets: Vec<&BTreeSet<Vec<String>>> = match atom.args.first() {
+        None => by_first.get("").into_iter().collect(),
+        Some(Term::Const(c)) => by_first.get(c).into_iter().collect(),
+        Some(Term::Var(v)) => match (binding.get(v), restriction) {
+            (Some(value), _) => by_first.get(value).into_iter().collect(),
+            (None, Some((rv, firsts))) if rv == v => {
+                firsts.iter().filter_map(|f| by_first.get(f)).collect()
+            }
+            (None, _) => by_first.values().collect(),
+        },
+    };
+    let mut added = Vec::new();
+    for tuple in buckets.into_iter().flatten() {
+        if unify(atom, tuple, binding, restriction, &mut added) {
+            join(rest, binding, index, restriction, visit)?;
+        }
+        for v in added.drain(..) {
+            binding.remove(&v);
+        }
+    }
+    Ok(())
+}
+
+/// The one grounding engine behind [`ground_reduced`] (no demand: every
+/// rule runs unrestricted) and [`ground_magic`] (demand seeded by the
+/// query atom). Each round re-joins every active rule against the whole
+/// indexed closure until no new head tuple appears, then simplifies
+/// negation against the closure.
+fn ground_with(
     prog: &DatalogProgram,
-    query: &PredAtom,
+    demand: Option<&PredAtom>,
     limit: usize,
 ) -> Result<Database, GroundingError> {
     check_program(prog)?;
-    let demand = demand_fixpoint(prog, query);
-
-    // Possibly-true ground atoms, with a first-argument index per
-    // predicate (the `BTreeSet` inside keeps join order deterministic).
-    let mut possible: BTreeMap<String, BTreeSet<Vec<String>>> = BTreeMap::new();
-    let mut index: BTreeMap<String, BTreeMap<String, BTreeSet<Vec<String>>>> = BTreeMap::new();
-    let mut emitted: BTreeSet<GroundRule> = BTreeSet::new();
-
-    // Per-rule activation under the (static) demand: skip, run freely, or
-    // run with one variable confined to a constant set.
-    let activations: Vec<Activation> = prog
-        .rules
-        .iter()
-        .map(|rule| {
-            if rule.head.is_empty() {
-                // Constraints fire whenever their body predicates were
-                // demanded at all; the body join itself confines them to
-                // the demanded closure.
-                let touches = rule
-                    .body_pos
-                    .iter()
-                    .chain(&rule.body_neg)
-                    .any(|a| demand.contains_key(&a.pred));
-                return if touches {
-                    Activation::Unrestricted
-                } else {
-                    Activation::Inactive
-                };
-            }
-            let mut restricted: Option<(String, BTreeSet<String>)> = None;
-            let mut unrestricted = false;
-            let mut active = false;
-            for head in &rule.head {
-                match head_activation(head, &demand) {
-                    Activation::Inactive => {}
-                    Activation::Unrestricted => {
-                        active = true;
-                        unrestricted = true;
-                    }
-                    Activation::Restricted(v, firsts) => {
-                        active = true;
-                        match &mut restricted {
-                            None => restricted = Some((v, firsts)),
-                            Some((rv, rf)) if *rv == v => rf.extend(firsts),
-                            // Two heads confine different variables: the
-                            // union of the two demands is not expressible
-                            // as one restriction, so run the rule freely.
-                            Some(_) => unrestricted = true,
-                        }
-                    }
-                }
-            }
-            if !active {
-                Activation::Inactive
-            } else if unrestricted {
-                Activation::Unrestricted
-            } else {
-                let (v, firsts) = restricted.expect("active restricted rule has a restriction");
-                Activation::Restricted(v, firsts)
-            }
-        })
-        .collect();
-
-    // Backtracking join against the indexed closure. Candidate tuples for
-    // an atom whose first argument is already fixed (a constant, a bound
-    // variable, or the restricted variable) come from the index bucket(s)
-    // instead of the whole relation.
-    #[allow(clippy::too_many_arguments)]
-    fn join(
-        body: &[PredAtom],
-        idx: usize,
-        binding: &mut Binding,
-        possible: &BTreeMap<String, BTreeSet<Vec<String>>>,
-        index: &BTreeMap<String, BTreeMap<String, BTreeSet<Vec<String>>>>,
-        restriction: Option<&(String, BTreeSet<String>)>,
-        visit: &mut dyn FnMut(&Binding) -> Result<(), GroundingError>,
-    ) -> Result<(), GroundingError> {
-        // Checkpoint per join node, as in `ground_reduced`: deadlines and
-        // cancel flags must trip inside the demand-driven closure too.
-        budget::checkpoint()?;
-        if idx == body.len() {
-            return visit(binding);
+    let activations: Vec<Activation> = match demand {
+        None => prog
+            .rules
+            .iter()
+            .map(|_| Activation::Unrestricted)
+            .collect(),
+        Some(query) => {
+            let demand = demand_fixpoint(prog, query);
+            prog.rules
+                .iter()
+                .map(|rule| rule_activation(rule, &demand))
+                .collect()
         }
-        let atom = &body[idx];
-        let by_first = index.get(&atom.pred);
-        let buckets: Vec<&BTreeSet<Vec<String>>> = match atom.args.first() {
-            None => vec![],
-            Some(Term::Const(c)) => by_first.and_then(|m| m.get(c)).into_iter().collect(),
-            Some(Term::Var(v)) => match binding.get(v) {
-                Some(val) => by_first.and_then(|m| m.get(val)).into_iter().collect(),
-                None => match restriction {
-                    Some((rv, firsts)) if rv == v => firsts
-                        .iter()
-                        .filter_map(|f| by_first.and_then(|m| m.get(f)))
-                        .collect(),
-                    _ => by_first.map(|m| m.values().collect()).unwrap_or_default(),
-                },
-            },
-        };
-        // Zero-arity atoms have no index key; fall back to the relation.
-        let tuples: Box<dyn Iterator<Item = &Vec<String>>> = if atom.args.is_empty() {
-            Box::new(possible.get(&atom.pred).into_iter().flatten())
-        } else {
-            Box::new(buckets.into_iter().flatten())
-        };
-        'tuples: for tuple in tuples {
-            if tuple.len() != atom.args.len() {
-                continue;
-            }
-            let mut added: Vec<String> = Vec::new();
-            for (arg, value) in atom.args.iter().zip(tuple) {
-                match arg {
-                    Term::Const(c) => {
-                        if c != value {
-                            for v in added.drain(..) {
-                                binding.remove(&v);
-                            }
-                            continue 'tuples;
-                        }
-                    }
-                    Term::Var(v) => match binding.get(v) {
-                        Some(bound) if bound != value => {
-                            for v in added.drain(..) {
-                                binding.remove(&v);
-                            }
-                            continue 'tuples;
-                        }
-                        Some(_) => {}
-                        None => {
-                            if let Some((rv, firsts)) = restriction {
-                                if rv == v && !firsts.contains(value) {
-                                    for v in added.drain(..) {
-                                        binding.remove(&v);
-                                    }
-                                    continue 'tuples;
-                                }
-                            }
-                            binding.insert(v.clone(), value.clone());
-                            added.push(v.clone());
-                        }
-                    },
-                }
-            }
-            join(body, idx + 1, binding, possible, index, restriction, visit)?;
-            for v in added {
-                binding.remove(&v);
-            }
-        }
-        Ok(())
-    }
-
+    };
+    let mut index = Index::new();
+    // Every ground rule so far, with its instantiated negative body for
+    // the simplification below.
+    let mut emitted: BTreeMap<GroundRule, Vec<PredAtom>> = BTreeMap::new();
     loop {
         let mut grew = false;
         for (rule, activation) in prog.rules.iter().zip(&activations) {
@@ -705,67 +584,37 @@ pub fn ground_magic(
             let restriction = match activation {
                 Activation::Inactive => continue,
                 Activation::Unrestricted => None,
-                Activation::Restricted(v, firsts) => Some((v.clone(), firsts.clone())),
+                Activation::Restricted(v, firsts) => Some((v.as_str(), firsts)),
             };
-            let mut new_heads: Vec<(String, Vec<String>)> = Vec::new();
-            let mut new_rules: Vec<GroundRule> = Vec::new();
-            {
-                let mut binding = Binding::new();
-                let rule_ref = rule;
-                let emitted_ref = &emitted;
-                join(
-                    &rule.body_pos,
-                    0,
-                    &mut binding,
-                    &possible,
-                    &index,
-                    restriction.as_ref(),
-                    &mut |b: &Binding| {
-                        if !disequalities_hold(rule_ref, b) {
-                            return Ok(());
-                        }
-                        if let Some((rv, firsts)) = restriction.as_ref() {
-                            // Safety puts every head variable in the
-                            // positive body, so the binding is total here.
-                            if b.get(rv).is_some_and(|val| !firsts.contains(val)) {
-                                return Ok(());
-                            }
-                        }
-                        let ground = instantiate_rule(rule_ref, b);
-                        if !emitted_ref.contains(&ground) && !new_rules.contains(&ground) {
-                            for h in rule_ref.head.iter() {
-                                let inst = instantiate_atom(h, b);
-                                let tuple: Vec<String> = inst
-                                    .args
-                                    .iter()
-                                    .map(|t| match t {
-                                        Term::Const(c) => c.clone(),
-                                        Term::Var(_) => unreachable!("instantiated"),
-                                    })
-                                    .collect();
-                                new_heads.push((inst.pred, tuple));
-                            }
-                            new_rules.push(ground);
-                        }
-                        Ok(())
-                    },
-                )?;
-            }
-            for r in new_rules {
-                emitted.insert(r);
-                grew = true;
-                if emitted.len() > limit {
-                    return Err(GroundingError::TooLarge { limit });
-                }
-            }
+            let mut new_heads: Vec<(&str, Vec<String>)> = Vec::new();
+            join(
+                &rule.body_pos,
+                &mut Binding::new(),
+                &index,
+                restriction,
+                &mut |b: &Binding| {
+                    if !disequalities_hold(rule, b) {
+                        return Ok(());
+                    }
+                    let ground = instantiate_rule(rule, b);
+                    if emitted.contains_key(&ground) {
+                        return Ok(());
+                    }
+                    new_heads.extend(
+                        rule.head
+                            .iter()
+                            .map(|h| (h.pred.as_str(), ground_tuple(h, b))),
+                    );
+                    let negs = rule.body_neg.iter().map(|a| instantiate_atom(a, b));
+                    emitted.insert(ground, negs.collect());
+                    if emitted.len() > limit {
+                        return Err(GroundingError::TooLarge { limit });
+                    }
+                    Ok(())
+                },
+            )?;
             for (pred, tuple) in new_heads {
-                index
-                    .entry(pred.clone())
-                    .or_default()
-                    .entry(first_key(&tuple))
-                    .or_default()
-                    .insert(tuple.clone());
-                possible.entry(pred).or_default().insert(tuple);
+                grew |= index_insert(&mut index, pred, tuple);
             }
         }
         if !grew {
@@ -773,24 +622,20 @@ pub fn ground_magic(
         }
     }
 
-    // Negation simplification, exactly as in `ground_reduced`, against
-    // the demanded closure (negative body atoms are demanded, so their
-    // derivability within the fragment is fully explored).
-    let is_possible = |name: &String| -> bool {
-        match name.find('(') {
-            None => possible.get(name).is_some_and(|s| s.contains(&Vec::new())),
-            Some(p) => {
-                let pred = &name[..p];
-                let inner = &name[p + 1..name.len() - 1];
-                let tuple: Vec<String> = inner.split(',').map(str::to_owned).collect();
-                possible.get(pred).is_some_and(|s| s.contains(&tuple))
-            }
-        }
-    };
+    // Simplify: drop negated literals whose atom is impossible; a negated
+    // literal whose atom IS possible stays. Under demand, negative body
+    // atoms are demanded, so their derivability within the fragment is
+    // fully explored.
     let simplified: BTreeSet<GroundRule> = emitted
         .into_iter()
-        .map(|mut r| {
-            r.body_neg.retain(|g| is_possible(g));
+        .map(|(mut r, negs)| {
+            r.body_neg = negs
+                .iter()
+                .filter(|a| index_holds(&index, a))
+                .map(PredAtom::ground_name)
+                .collect();
+            r.body_neg.sort();
+            r.body_neg.dedup();
             r
         })
         .collect();

@@ -11,22 +11,25 @@
 //!   the disequality builtin `X != Y` (evaluated at grounding time);
 //! * [`safety`] — the classical range-restriction check (every variable
 //!   of a rule must occur in its positive body);
-//! * [`grounder`] — three grounding strategies:
+//! * [`grounder`] — one closure engine, with or without demand, plus an
+//!   independent exact reference:
+//!     * [`grounder::ground_reduced`] — the engine with no demand:
+//!       DLV-style *intelligent grounding* over the possibly-true closure.
+//!       Sound for the supported semantics (DSM, PDSM, WFS, PWS) on all
+//!       programs and for the minimal-model family on positive programs;
+//!       **not** model-set preserving for classical/minimal semantics in
+//!       the presence of negation (a `⊨`-minimal model may make an
+//!       underivable negated atom true). The tests pin both the
+//!       equivalences and the documented counterexample;
+//!     * [`grounder::ground_magic`] — the same engine with demand seeded
+//!       by one bound query atom (*goal-directed* grounding): a static
+//!       per-predicate first-argument demand fixpoint decides which rules
+//!       can reach the query, and only those are instantiated. The
+//!       grounding-side mirror of the planner's magic restriction;
 //!     * [`grounder::ground_full`] — the exact Herbrand instantiation,
-//!       equivalent for **every** semantics (exponential in rule arity);
-//!     * [`grounder::ground_reduced`] — DLV-style *intelligent grounding*
-//!       over the possibly-true closure. Sound for the supported
-//!       semantics (DSM, PDSM, WFS, PWS) on all programs and for the
-//!       minimal-model family on positive programs; **not** model-set
-//!       preserving for classical/minimal semantics in the presence of
-//!       negation (a `⊨`-minimal model may make an underivable negated
-//!       atom true). The tests pin both the equivalences and the
-//!       documented counterexample;
-//!     * [`grounder::ground_magic`] — *goal-directed* grounding for one
-//!       bound query atom: a static per-predicate first-argument demand
-//!       fixpoint decides which rules can reach the query, and only
-//!       those are instantiated, joining against a first-argument index.
-//!       The grounding-side mirror of the planner's magic restriction.
+//!       equivalent for **every** semantics (exponential in rule arity).
+//!       It shares no join with the engine, so the property tests can
+//!       compare against it as an independent reference.
 //!
 //! The output is an ordinary [`ddb_logic::Database`] whose atom names are
 //! the ground atoms (`edge(a,b)`), ready for any semantics in `ddb-core`.

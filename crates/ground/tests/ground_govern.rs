@@ -1,6 +1,7 @@
 //! Governance of the grounding loops: an installed [`Budget`] trips
-//! *during* grounding — semi-naive closure, exact instantiation, and the
-//! demand-driven magic closure — not only inside SAT/fixpoint work.
+//! *during* grounding — the possibly-true closure (with or without
+//! demand) and the exact instantiation — not only inside SAT/fixpoint
+//! work.
 //!
 //! The headline is the fault-injection sweep: probe a grounding run with
 //! an unlimited budget to learn its checkpoint total `K`, then re-run it
@@ -81,6 +82,23 @@ fn fault_injection_sweep_over_ground_magic() {
             other => panic!("fail_after({k}): expected Interrupted, got {other:?}"),
         }
     }
+}
+
+#[test]
+fn limit_trips_inside_the_join() {
+    // 30 constants give 27,000 instances of one rule. The limit must stop
+    // the join as soon as it is crossed, not after the whole round.
+    let facts: String = (0..30).map(|i| format!("d(k{i:02}). ")).collect();
+    let prog = parse_datalog(&format!("{facts}p(X,Y,Z) :- d(X), d(Y), d(Z).")).unwrap();
+    let mut result = Ok(());
+    let checkpoints = probe(|| {
+        result = ground_reduced(&prog, 1000).map(drop);
+    });
+    assert_eq!(result, Err(GroundingError::TooLarge { limit: 1000 }));
+    assert!(
+        checkpoints <= 2000,
+        "TooLarge after {checkpoints} checkpoints"
+    );
 }
 
 #[test]

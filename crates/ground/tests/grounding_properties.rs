@@ -1,10 +1,13 @@
 //! Property tests for the grounder: on random safe programs, the reduced
 //! (intelligent) grounding must agree with the exact grounding under the
 //! supported semantics, and under the minimal-model semantics for
-//! positive programs. Driven by the in-repo deterministic PRNG (formerly
-//! proptest).
+//! positive programs; demand (goal-directed grounding) may only remove
+//! rules. Driven by the in-repo deterministic PRNG (formerly proptest).
 
-use ddb_ground::{ground_full, ground_reduced, DatalogProgram, DatalogRule, PredAtom, Term};
+use ddb_ground::parse::parse_datalog;
+use ddb_ground::{
+    ground_full, ground_magic, ground_reduced, DatalogProgram, DatalogRule, PredAtom, Term,
+};
 use ddb_logic::rng::XorShift64Star;
 use ddb_logic::Database;
 use ddb_models::Cost;
@@ -206,4 +209,47 @@ fn grounding_is_deterministic() {
         let b = ground_reduced(&prog, 100_000).unwrap();
         assert_eq!(a.rules(), b.rules(), "case {case}");
     }
+}
+
+/// A ground rule as atom names, each part sorted.
+type NamedRule = (Vec<String>, Vec<String>, Vec<String>);
+
+fn named_rules(db: &Database) -> BTreeSet<NamedRule> {
+    let names = |atoms: &[ddb_logic::Atom]| -> Vec<String> {
+        let mut names: Vec<String> = atoms
+            .iter()
+            .map(|&a| db.symbols().name(a).to_owned())
+            .collect();
+        names.sort();
+        names
+    };
+    db.rules()
+        .iter()
+        .map(|r| (names(r.head()), names(r.body_pos()), names(r.body_neg())))
+        .collect()
+}
+
+#[test]
+fn demand_only_removes_rules() {
+    let mut rng = XorShift64Star::seed_from_u64(0x6006);
+    let mut pairs = 0;
+    for case in 0..CASES {
+        let prog = random_program(&mut rng, case % 2 == 0);
+        let reduced = ground_reduced(&prog, 100_000).unwrap();
+        let whole = named_rules(&reduced);
+        let heads: BTreeSet<&str> = reduced
+            .rules()
+            .iter()
+            .flat_map(|r| r.head())
+            .map(|&a| reduced.symbols().name(a))
+            .collect();
+        for head in heads {
+            let query = parse_datalog(&format!("{head}.")).unwrap().rules[0].head[0].clone();
+            let magic = ground_magic(&prog, &query, 100_000).unwrap();
+            let extra: Vec<_> = named_rules(&magic).difference(&whole).cloned().collect();
+            assert!(extra.is_empty(), "case {case}, query {head}: {extra:?}");
+            pairs += 1;
+        }
+    }
+    assert!(pairs > CASES, "only {pairs} (program, query) pairs");
 }
